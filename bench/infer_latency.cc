@@ -2,8 +2,8 @@
 // runtime (PR 3). Times repeated PredictKmh rounds over a fixed anchor set
 // under three arms and writes a machine-readable report (default
 // bench_out/perf_pr3.json) that CI archives and gates on:
-//   per_anchor        batch 1, allocating forward, no feature cache — the
-//                     seed's one-anchor-at-a-time deployment path
+//   per_anchor        batch 1, serial, no feature cache — the
+//                     one-anchor-at-a-time deployment path
 //   batched           batch 64, workspace arenas + feature cache, 1 thread
 //   batched_parallel  batch 64, workspace arenas + feature cache, batches
 //                     sharded across min(4, hardware_concurrency) threads
@@ -162,7 +162,6 @@ int Run(const std::string& path, bool quick) {
   core::InferenceConfig per_anchor;
   per_anchor.batch_size = 1;
   per_anchor.parallel = false;
-  per_anchor.use_workspace = false;
   per_anchor.use_feature_cache = false;
 
   core::InferenceConfig batched;  // defaults: B=64, workspace + cache
@@ -189,7 +188,7 @@ int Run(const std::string& path, bool quick) {
       {"fp16", fp16_cfg, KernelMode::kSimd, 1, fast_rounds, false},
   };
 
-  // Ground truth for the bitwise comparison: the seed-semantics arm.
+  // Ground truth for the bitwise comparison: the one-anchor arm.
   model.SetInferenceConfig(per_anchor);
   const std::vector<double> baseline = model.PredictKmh(anchors);
   // Ground truth for the accuracy band: the actual future speeds. The
@@ -254,7 +253,6 @@ int Run(const std::string& path, bool quick) {
     out << "    {\"name\": \"" << r.spec.name
         << "\", \"batch_size\": " << r.spec.cfg.batch_size
         << ", \"threads\": " << r.spec.threads
-        << ", \"workspace\": " << (r.spec.cfg.use_workspace ? "true" : "false")
         << ", \"feature_cache\": "
         << (r.spec.cfg.use_feature_cache ? "true" : "false")
         << ", \"kernel\": \"" << tensor::KernelModeName(r.spec.mode)

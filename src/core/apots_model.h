@@ -96,9 +96,9 @@ class ApotsModel {
   /// How many of the last PredictKmh anchors used the fallback.
   size_t last_fallback_count() const { return last_fallback_count_; }
 
-  /// Swaps the inference configuration (batch size, parallelism,
-  /// workspace/cache toggles), rebuilding the runtime. Predictions are
-  /// bitwise identical under every configuration; this is how benches and
+  /// Swaps the inference configuration (batch size, parallelism, cache
+  /// toggle), rebuilding the runtime. Predictions are bitwise identical
+  /// under every fp32 configuration; this is how benches and
   /// tests switch arms on one trained model.
   void SetInferenceConfig(const InferenceConfig& config);
   InferenceRuntime& inference_runtime() { return *runtime_; }

@@ -1,7 +1,5 @@
 #include "core/cnn_predictor.h"
 
-#include <algorithm>
-
 #include "nn/activations.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
@@ -34,24 +32,14 @@ CnnPredictor::CnnPredictor(const PredictorHparams& hparams, size_t num_rows,
                                  apots::nn::Init::kXavierUniform);
 }
 
-Tensor CnnPredictor::Forward(const Tensor& batch, bool training) {
+const Tensor* CnnPredictor::Run(const Tensor& batch, apots::nn::Pass pass,
+                                apots::tensor::Workspace* ws) {
   APOTS_CHECK_EQ(batch.rank(), 3u);
   APOTS_CHECK_EQ(batch.dim(1), num_rows_);
   APOTS_CHECK_EQ(batch.dim(2), alpha_);
-  const Tensor image =
-      batch.Reshape({batch.dim(0), 1, num_rows_, alpha_});
-  return net_.Forward(image, training);
-}
-
-const Tensor* CnnPredictor::Forward(const Tensor& batch, bool training,
-                                    apots::tensor::Workspace* ws) {
-  if (training) return Predictor::Forward(batch, training, ws);
-  APOTS_CHECK_EQ(batch.rank(), 3u);
-  APOTS_CHECK_EQ(batch.dim(1), num_rows_);
-  APOTS_CHECK_EQ(batch.dim(2), alpha_);
-  Tensor* image = ws->Acquire({batch.dim(0), 1, num_rows_, alpha_});
-  std::copy(batch.data(), batch.data() + batch.size(), image->data());
-  return net_.Forward(*image, training, ws);
+  const Tensor* image =
+      ws->AcquireCopy(batch, {batch.dim(0), 1, num_rows_, alpha_});
+  return net_.Run(*image, pass, ws);
 }
 
 Tensor CnnPredictor::Backward(const Tensor& grad_output) {

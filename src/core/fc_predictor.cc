@@ -1,7 +1,5 @@
 #include "core/fc_predictor.h"
 
-#include <algorithm>
-
 #include "nn/activations.h"
 #include "nn/dense.h"
 #include "util/string_util.h"
@@ -22,23 +20,14 @@ FcPredictor::FcPredictor(const PredictorHparams& hparams, size_t num_rows,
                                  apots::nn::Init::kXavierUniform);
 }
 
-Tensor FcPredictor::Forward(const Tensor& batch, bool training) {
+const Tensor* FcPredictor::Run(const Tensor& batch, apots::nn::Pass pass,
+                               apots::tensor::Workspace* ws) {
   APOTS_CHECK_EQ(batch.rank(), 3u);
   APOTS_CHECK_EQ(batch.dim(1), num_rows_);
   APOTS_CHECK_EQ(batch.dim(2), alpha_);
-  const Tensor flat = batch.Reshape({batch.dim(0), num_rows_ * alpha_});
-  return net_.Forward(flat, training);
-}
-
-const Tensor* FcPredictor::Forward(const Tensor& batch, bool training,
-                                   apots::tensor::Workspace* ws) {
-  if (training) return Predictor::Forward(batch, training, ws);
-  APOTS_CHECK_EQ(batch.rank(), 3u);
-  APOTS_CHECK_EQ(batch.dim(1), num_rows_);
-  APOTS_CHECK_EQ(batch.dim(2), alpha_);
-  Tensor* flat = ws->Acquire({batch.dim(0), num_rows_ * alpha_});
-  std::copy(batch.data(), batch.data() + batch.size(), flat->data());
-  return net_.Forward(*flat, training, ws);
+  const Tensor* flat =
+      ws->AcquireCopy(batch, {batch.dim(0), num_rows_ * alpha_});
+  return net_.Run(*flat, pass, ws);
 }
 
 Tensor FcPredictor::Backward(const Tensor& grad_output) {

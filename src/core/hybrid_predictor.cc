@@ -1,7 +1,5 @@
 #include "core/hybrid_predictor.h"
 
-#include <algorithm>
-
 #include "core/cnn_predictor.h"
 #include "core/lstm_predictor.h"
 #include "tensor/tensor_ops.h"
@@ -17,36 +15,21 @@ HybridPredictor::HybridPredictor(const PredictorHparams& hparams,
   BuildLstmHead(hparams, conv_channels_ * num_rows, &lstm_head_, rng);
 }
 
-Tensor HybridPredictor::Forward(const Tensor& batch, bool training) {
+const Tensor* HybridPredictor::Run(const Tensor& batch,
+                                   apots::nn::Pass pass,
+                                   apots::tensor::Workspace* ws) {
   APOTS_CHECK_EQ(batch.rank(), 3u);
   APOTS_CHECK_EQ(batch.dim(1), num_rows_);
   APOTS_CHECK_EQ(batch.dim(2), alpha_);
   const size_t n = batch.dim(0);
-  const Tensor image = batch.Reshape({n, 1, num_rows_, alpha_});
-  Tensor features = conv_.Forward(image, training);
+  const Tensor* image = ws->AcquireCopy(batch, {n, 1, num_rows_, alpha_});
+  const Tensor* features = conv_.Run(*image, pass, ws);
   // [N, C, rows, alpha] -> [N, C*rows, alpha] -> [N, alpha, C*rows].
-  features = features.Reshape({n, conv_channels_ * num_rows_, alpha_});
-  const Tensor sequence = apots::tensor::Transpose12(features);
-  return lstm_head_.Forward(sequence, training);
-}
-
-const Tensor* HybridPredictor::Forward(const Tensor& batch, bool training,
-                                       apots::tensor::Workspace* ws) {
-  if (training) return Predictor::Forward(batch, training, ws);
-  APOTS_CHECK_EQ(batch.rank(), 3u);
-  APOTS_CHECK_EQ(batch.dim(1), num_rows_);
-  APOTS_CHECK_EQ(batch.dim(2), alpha_);
-  const size_t n = batch.dim(0);
-  Tensor* image = ws->Acquire({n, 1, num_rows_, alpha_});
-  std::copy(batch.data(), batch.data() + batch.size(), image->data());
-  const Tensor* features = conv_.Forward(*image, training, ws);
-  // [N, C, rows, alpha] -> [N, C*rows, alpha] -> [N, alpha, C*rows].
-  Tensor* folded = ws->Acquire({n, conv_channels_ * num_rows_, alpha_});
-  std::copy(features->data(), features->data() + features->size(),
-            folded->data());
+  const Tensor* folded =
+      ws->AcquireCopy(*features, {n, conv_channels_ * num_rows_, alpha_});
   Tensor* sequence = ws->Acquire({n, alpha_, conv_channels_ * num_rows_});
   apots::tensor::Transpose12Into(*folded, sequence);
-  return lstm_head_.Forward(*sequence, training, ws);
+  return lstm_head_.Run(*sequence, pass, ws);
 }
 
 Tensor HybridPredictor::Backward(const Tensor& grad_output) {

@@ -19,9 +19,8 @@ class HybridPredictor : public Predictor {
   HybridPredictor(const PredictorHparams& hparams, size_t num_rows,
                   size_t alpha, apots::Rng* rng);
 
-  Tensor Forward(const Tensor& batch, bool training) override;
-  const Tensor* Forward(const Tensor& batch, bool training,
-                        apots::tensor::Workspace* ws) override;
+  const Tensor* Run(const Tensor& batch, apots::nn::Pass pass,
+                    apots::tensor::Workspace* ws) override;
   Tensor Backward(const Tensor& grad_output) override;
   void PrepareQuantized(apots::tensor::QuantMode mode) override {
     conv_.PrepareQuantized(mode);  // conv layers no-op; Dense head packs

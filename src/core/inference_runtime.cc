@@ -47,13 +47,6 @@ Status ValidateInferenceConfig(const InferenceConfig& config) {
         "use_feature_cache is set (an LRU of capacity 0 cannot hold any "
         "column); either raise it or disable the cache");
   }
-  if (config.quantize != apots::tensor::QuantMode::kOff &&
-      !config.use_workspace) {
-    return Status::InvalidArgument(
-        "InferenceConfig.quantize requires use_workspace (only the "
-        "workspace forward consults packed weights; the allocating "
-        "forward would silently serve fp32 under a quantized label)");
-  }
   return Status::Ok();
 }
 
@@ -67,14 +60,6 @@ InferenceConfig SanitizeInferenceConfig(InferenceConfig config) {
     APOTS_LOG(Warning) << "InferenceConfig.cache_capacity of 0 disables the "
                           "feature cache";
     config.use_feature_cache = false;
-  }
-  if (config.quantize != apots::tensor::QuantMode::kOff &&
-      !config.use_workspace) {
-    APOTS_LOG(Warning)
-        << "InferenceConfig.quantize="
-        << apots::tensor::QuantModeName(config.quantize)
-        << " needs use_workspace; falling back to fp32 (quantize=off)";
-    config.quantize = apots::tensor::QuantMode::kOff;
   }
   return config;
 }
@@ -172,25 +157,6 @@ Tensor InferenceRuntime::PredictImpl(
   const size_t rows = static_cast<size_t>(assembler_->NumRows());
   const size_t alpha = static_cast<size_t>(assembler_->alpha());
   const size_t num_batches = NumBatches(count);
-
-  if (!config_.use_workspace) {
-    // Baseline path, seed semantics: allocating assembly + allocating
-    // forward. The allocating forward writes layer caches, so this path is
-    // strictly serial regardless of `parallel`.
-    ForEachBatch(count, [&](size_t, size_t lo, size_t hi) {
-      obs::TraceSpan batch_span("infer.batch");
-      obs::ScopedTimer batch_timer(InferMetrics::Get().batch_ms);
-      InferMetrics::Get().batches.Add();
-      Tensor inputs({hi - lo, rows, alpha});
-      assembler_->AssembleBatchInto(
-          anchors + lo, contexts == nullptr ? nullptr : contexts + lo,
-          hi - lo, cache_.get(), &inputs);
-      const Tensor outputs = predictor_->Forward(inputs, /*training=*/false);
-      std::copy(outputs.data(), outputs.data() + (hi - lo),
-                out.data() + lo);
-    });
-    return out;
-  }
 
   apots::ThreadPool& pool = apots::GlobalPool();
   const bool parallel =

@@ -24,38 +24,29 @@ struct InferenceConfig {
   /// Anchors packed into one predictor forward. 1 reproduces the
   /// per-anchor baseline shape.
   size_t batch_size = 64;
-  /// Shard anchor batches across the global ThreadPool. Only effective
-  /// together with `use_workspace` (the allocating forward mutates layer
-  /// caches and is not reentrant); output ordering is deterministic
-  /// because every batch writes a disjoint, position-fixed output range.
+  /// Shard anchor batches across the global ThreadPool (each worker
+  /// forwards on its own arena); output ordering is deterministic because
+  /// every batch writes a disjoint, position-fixed output range.
   bool parallel = true;
-  /// Borrow activations from per-worker Workspace arenas instead of
-  /// allocating per forward (zero heap traffic in steady state).
-  bool use_workspace = true;
   /// Serve per-interval feature columns from an LRU cache, exploiting the
   /// alpha-1 window overlap between adjacent anchors.
   bool use_feature_cache = true;
   /// Cache entries (per-interval columns) kept before LRU eviction.
   size_t cache_capacity = 8192;
   /// Inference weight precision (tensor::QuantMode). Non-kOff modes pack
-  /// the predictor's matmul weights at runtime construction and require
-  /// `use_workspace` (only the workspace forward consults packed
-  /// weights; silently serving fp32 under a quantized label would be
-  /// worse than rejecting).
+  /// the predictor's matmul weights at runtime construction.
   apots::tensor::QuantMode quantize = apots::tensor::QuantMode::kOff;
 };
 
 /// Rejects configurations the runtime cannot honor as written:
-/// `batch_size == 0` (the batch grid divides by it), `cache_capacity == 0`
-/// with the cache enabled (an LRU that can hold nothing), and a non-kOff
-/// `quantize` with `use_workspace` off (the allocating forward has no
-/// quantized path). Returns InvalidArgument naming the offending field.
+/// `batch_size == 0` (the batch grid divides by it) and
+/// `cache_capacity == 0` with the cache enabled (an LRU that can hold
+/// nothing). Returns InvalidArgument naming the offending field.
 Status ValidateInferenceConfig(const InferenceConfig& config);
 
 /// Clamps edge values to the nearest working configuration instead of
-/// rejecting: `batch_size` 0 → 1, `cache_capacity` 0 disables the
-/// feature cache, and a non-kOff `quantize` without `use_workspace`
-/// falls back to kOff. The result always passes ValidateInferenceConfig.
+/// rejecting: `batch_size` 0 → 1 and `cache_capacity` 0 disables the
+/// feature cache. The result always passes ValidateInferenceConfig.
 InferenceConfig SanitizeInferenceConfig(InferenceConfig config);
 
 /// One inference work item: an anchor plus the counterfactual context it
@@ -70,12 +61,12 @@ struct WorkItem {
 
 /// Batched multi-anchor inference engine: packs anchor windows into
 /// [batch_size, rows, alpha] tensors, forwards whole batches through the
-/// tiled kernels on workspace arenas, and shards batches across the
-/// ThreadPool. Deterministic contract (see DESIGN.md §10): the batch grid
-/// depends only on (N, batch_size), every batch owns a disjoint output
-/// range, and the workspace forward is bitwise identical to the allocating
-/// forward — so predictions match the per-anchor path bit for bit at any
-/// batch size, thread count, and cache temperature.
+/// tiled kernels on per-worker workspace arenas, and shards batches across
+/// the ThreadPool. Deterministic contract (see DESIGN.md §10): the batch
+/// grid depends only on (N, batch_size), every batch owns a disjoint
+/// output range, and no output row depends on another row's sample — so
+/// predictions match the per-anchor path bit for bit at any batch size,
+/// thread count, and cache temperature.
 ///
 /// The predictor and assembler are borrowed and must outlive the runtime.
 /// Predict must not run concurrently with training steps on the same

@@ -27,24 +27,15 @@ LstmPredictor::LstmPredictor(const PredictorHparams& hparams,
   BuildLstmHead(hparams, num_rows, &net_, rng);
 }
 
-Tensor LstmPredictor::Forward(const Tensor& batch, bool training) {
+const Tensor* LstmPredictor::Run(const Tensor& batch, apots::nn::Pass pass,
+                                 apots::tensor::Workspace* ws) {
   APOTS_CHECK_EQ(batch.rank(), 3u);
   APOTS_CHECK_EQ(batch.dim(1), num_rows_);
   APOTS_CHECK_EQ(batch.dim(2), alpha_);
   // [N, rows, alpha] -> [N, alpha, rows]: one feature vector per step.
-  const Tensor sequence = apots::tensor::Transpose12(batch);
-  return net_.Forward(sequence, training);
-}
-
-const Tensor* LstmPredictor::Forward(const Tensor& batch, bool training,
-                                     apots::tensor::Workspace* ws) {
-  if (training) return Predictor::Forward(batch, training, ws);
-  APOTS_CHECK_EQ(batch.rank(), 3u);
-  APOTS_CHECK_EQ(batch.dim(1), num_rows_);
-  APOTS_CHECK_EQ(batch.dim(2), alpha_);
   Tensor* sequence = ws->Acquire({batch.dim(0), alpha_, num_rows_});
   apots::tensor::Transpose12Into(batch, sequence);
-  return net_.Forward(*sequence, training, ws);
+  return net_.Run(*sequence, pass, ws);
 }
 
 Tensor LstmPredictor::Backward(const Tensor& grad_output) {

@@ -18,9 +18,8 @@ class LstmPredictor : public Predictor {
   LstmPredictor(const PredictorHparams& hparams, size_t num_rows,
                 size_t alpha, apots::Rng* rng);
 
-  Tensor Forward(const Tensor& batch, bool training) override;
-  const Tensor* Forward(const Tensor& batch, bool training,
-                        apots::tensor::Workspace* ws) override;
+  const Tensor* Run(const Tensor& batch, apots::nn::Pass pass,
+                    apots::tensor::Workspace* ws) override;
   Tensor Backward(const Tensor& grad_output) override;
   void PrepareQuantized(apots::tensor::QuantMode mode) override {
     net_.PrepareQuantized(mode);

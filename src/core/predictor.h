@@ -41,43 +41,16 @@ struct PredictorHparams {
 };
 
 /// A traffic-speed predictor P: maps a batch of canonical feature matrices
-/// [batch, rows, alpha] to scaled speed predictions [batch, 1].
-/// Implementations own their layers; Backward must follow a Forward with
-/// `training == true`.
-class Predictor {
+/// [batch, rows, alpha] to scaled speed predictions [batch, 1]. It is an
+/// nn::Layer, so it has the same single forward body (Run) behind the
+/// training and workspace Forward forms, and the same quantization
+/// contract; conv layers have no quantized path and stay fp32 in every
+/// mode. Backward takes `grad_output` [batch, 1], accumulates parameter
+/// gradients, and returns the gradient w.r.t. the input batch (usually
+/// discarded).
+class Predictor : public apots::nn::Layer {
  public:
-  virtual ~Predictor() = default;
-
-  Predictor(const Predictor&) = delete;
-  Predictor& operator=(const Predictor&) = delete;
-
-  virtual Tensor Forward(const Tensor& batch, bool training) = 0;
-
-  /// Workspace variant (see nn::Layer::Forward): borrows all activations
-  /// from `ws`, and at inference (`training == false`) mutates no
-  /// predictor state, so concurrent forwards on a shared predictor are
-  /// safe. Bitwise identical to the allocating Forward. The default
-  /// implementation materializes the allocating Forward into the arena.
-  virtual const Tensor* Forward(const Tensor& batch, bool training,
-                                apots::tensor::Workspace* ws);
-
-  /// `grad_output` is [batch, 1]; returns the gradient w.r.t. the input
-  /// batch (usually discarded) and accumulates parameter gradients.
-  virtual Tensor Backward(const Tensor& grad_output) = 0;
-
-  /// Packs the predictor's frozen weights for reduced-precision inference
-  /// (see nn::Layer::PrepareQuantized): only the workspace inference
-  /// Forward consults the packed copies, training always runs fp32, and
-  /// the packed copies snapshot the weights at call time — call again
-  /// after training steps, or with kOff to return to exact fp32. Conv
-  /// layers have no quantized path and stay fp32 in every mode.
-  virtual void PrepareQuantized(apots::tensor::QuantMode mode) {
-    (void)mode;
-  }
-
-  virtual std::vector<Parameter*> Parameters() = 0;
   virtual PredictorType type() const = 0;
-  virtual std::string Name() const = 0;
 
  protected:
   Predictor() = default;

@@ -18,17 +18,9 @@ float SigmoidScalar(float x) {
 
 float TanhScalar(float x) { return std::tanh(x); }
 
-Tensor Relu::Forward(const Tensor& input, bool training) {
-  cached_input_ = input;
-  Tensor out = input;
-  float* p = out.data();
-  for (size_t i = 0; i < out.size(); ++i) p[i] = p[i] > 0.0f ? p[i] : 0.0f;
-  return out;
-}
-
-const Tensor* Relu::Forward(const Tensor& input, bool training,
-                            tensor::Workspace* ws) {
-  if (training) return Layer::Forward(input, training, ws);
+const Tensor* Relu::Run(const Tensor& input, Pass pass,
+                        tensor::Workspace* ws) {
+  if (pass.record) cached_input_ = &input;
   Tensor* out = ws->Acquire(input.shape());
   const float* px = input.data();
   float* p = out->data();
@@ -37,31 +29,33 @@ const Tensor* Relu::Forward(const Tensor& input, bool training,
 }
 
 Tensor Relu::Backward(const Tensor& grad_output) {
-  APOTS_CHECK(grad_output.SameShape(cached_input_));
+  APOTS_CHECK(grad_output.SameShape(*cached_input_));
   Tensor grad = grad_output;
   float* pg = grad.data();
-  const float* px = cached_input_.data();
+  const float* px = cached_input_->data();
   for (size_t i = 0; i < grad.size(); ++i) {
     if (px[i] <= 0.0f) pg[i] = 0.0f;
   }
   return grad;
 }
 
-Tensor LeakyRelu::Forward(const Tensor& input, bool training) {
-  cached_input_ = input;
-  Tensor out = input;
-  float* p = out.data();
-  for (size_t i = 0; i < out.size(); ++i) {
-    if (p[i] < 0.0f) p[i] *= slope_;
+const Tensor* LeakyRelu::Run(const Tensor& input, Pass pass,
+                             tensor::Workspace* ws) {
+  if (pass.record) cached_input_ = &input;
+  Tensor* out = ws->Acquire(input.shape());
+  const float* px = input.data();
+  float* p = out->data();
+  for (size_t i = 0; i < out->size(); ++i) {
+    p[i] = px[i] < 0.0f ? px[i] * slope_ : px[i];
   }
   return out;
 }
 
 Tensor LeakyRelu::Backward(const Tensor& grad_output) {
-  APOTS_CHECK(grad_output.SameShape(cached_input_));
+  APOTS_CHECK(grad_output.SameShape(*cached_input_));
   Tensor grad = grad_output;
   float* pg = grad.data();
-  const float* px = cached_input_.data();
+  const float* px = cached_input_->data();
   for (size_t i = 0; i < grad.size(); ++i) {
     if (px[i] < 0.0f) pg[i] *= slope_;
   }
@@ -72,36 +66,40 @@ std::string LeakyRelu::Name() const {
   return apots::StrFormat("LeakyRelu(%.2f)", static_cast<double>(slope_));
 }
 
-Tensor Sigmoid::Forward(const Tensor& input, bool training) {
-  Tensor out = input;
-  float* p = out.data();
-  for (size_t i = 0; i < out.size(); ++i) p[i] = SigmoidScalar(p[i]);
-  cached_output_ = out;
+const Tensor* Sigmoid::Run(const Tensor& input, Pass pass,
+                           tensor::Workspace* ws) {
+  Tensor* out = ws->Acquire(input.shape());
+  const float* px = input.data();
+  float* p = out->data();
+  for (size_t i = 0; i < out->size(); ++i) p[i] = SigmoidScalar(px[i]);
+  if (pass.record) cached_output_ = out;
   return out;
 }
 
 Tensor Sigmoid::Backward(const Tensor& grad_output) {
-  APOTS_CHECK(grad_output.SameShape(cached_output_));
+  APOTS_CHECK(grad_output.SameShape(*cached_output_));
   Tensor grad = grad_output;
   float* pg = grad.data();
-  const float* py = cached_output_.data();
+  const float* py = cached_output_->data();
   for (size_t i = 0; i < grad.size(); ++i) pg[i] *= py[i] * (1.0f - py[i]);
   return grad;
 }
 
-Tensor Tanh::Forward(const Tensor& input, bool training) {
-  Tensor out = input;
-  float* p = out.data();
-  for (size_t i = 0; i < out.size(); ++i) p[i] = std::tanh(p[i]);
-  cached_output_ = out;
+const Tensor* Tanh::Run(const Tensor& input, Pass pass,
+                        tensor::Workspace* ws) {
+  Tensor* out = ws->Acquire(input.shape());
+  const float* px = input.data();
+  float* p = out->data();
+  for (size_t i = 0; i < out->size(); ++i) p[i] = std::tanh(px[i]);
+  if (pass.record) cached_output_ = out;
   return out;
 }
 
 Tensor Tanh::Backward(const Tensor& grad_output) {
-  APOTS_CHECK(grad_output.SameShape(cached_output_));
+  APOTS_CHECK(grad_output.SameShape(*cached_output_));
   Tensor grad = grad_output;
   float* pg = grad.data();
-  const float* py = cached_output_.data();
+  const float* py = cached_output_->data();
   for (size_t i = 0; i < grad.size(); ++i) pg[i] *= 1.0f - py[i] * py[i];
   return grad;
 }

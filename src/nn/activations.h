@@ -11,14 +11,13 @@ namespace apots::nn {
 class Relu : public Layer {
  public:
   Relu() = default;
-  Tensor Forward(const Tensor& input, bool training) override;
-  const Tensor* Forward(const Tensor& input, bool training,
-                        tensor::Workspace* ws) override;
+  const Tensor* Run(const Tensor& input, Pass pass,
+                    tensor::Workspace* ws) override;
   Tensor Backward(const Tensor& grad_output) override;
   std::string Name() const override { return "Relu"; }
 
  private:
-  Tensor cached_input_;
+  const Tensor* cached_input_ = nullptr;  // tape: the recorded input
 };
 
 /// Leaky ReLU with configurable negative slope (default 0.2, the usual GAN
@@ -26,37 +25,40 @@ class Relu : public Layer {
 class LeakyRelu : public Layer {
  public:
   explicit LeakyRelu(float slope = 0.2f) : slope_(slope) {}
-  Tensor Forward(const Tensor& input, bool training) override;
+  const Tensor* Run(const Tensor& input, Pass pass,
+                    tensor::Workspace* ws) override;
   Tensor Backward(const Tensor& grad_output) override;
   std::string Name() const override;
 
  private:
   float slope_;
-  Tensor cached_input_;
+  const Tensor* cached_input_ = nullptr;  // tape: the recorded input
 };
 
 /// Logistic sigmoid, elementwise 1 / (1 + exp(-x)).
 class Sigmoid : public Layer {
  public:
   Sigmoid() = default;
-  Tensor Forward(const Tensor& input, bool training) override;
+  const Tensor* Run(const Tensor& input, Pass pass,
+                    tensor::Workspace* ws) override;
   Tensor Backward(const Tensor& grad_output) override;
   std::string Name() const override { return "Sigmoid"; }
 
  private:
-  Tensor cached_output_;
+  const Tensor* cached_output_ = nullptr;  // tape: the arena output
 };
 
 /// Hyperbolic tangent.
 class Tanh : public Layer {
  public:
   Tanh() = default;
-  Tensor Forward(const Tensor& input, bool training) override;
+  const Tensor* Run(const Tensor& input, Pass pass,
+                    tensor::Workspace* ws) override;
   Tensor Backward(const Tensor& grad_output) override;
   std::string Name() const override { return "Tanh"; }
 
  private:
-  Tensor cached_output_;
+  const Tensor* cached_output_ = nullptr;  // tape: the arena output
 };
 
 /// Scalar math shared with the LSTM cell.

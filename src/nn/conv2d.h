@@ -21,9 +21,8 @@ class Conv2d : public Layer {
   Conv2d(size_t in_channels, size_t out_channels, size_t kh, size_t kw,
          size_t pad, apots::Rng* rng, Init init = Init::kHeNormal);
 
-  Tensor Forward(const Tensor& input, bool training) override;
-  const Tensor* Forward(const Tensor& input, bool training,
-                        tensor::Workspace* ws) override;
+  const Tensor* Run(const Tensor& input, Pass pass,
+                    tensor::Workspace* ws) override;
   Tensor Backward(const Tensor& grad_output) override;
   std::vector<Parameter*> Parameters() override;
   std::string Name() const override;
@@ -40,10 +39,7 @@ class Conv2d : public Layer {
   // single matmul against the im2col matrix.
   Parameter weight_;
   Parameter bias_;
-  // Per-sample im2col matrices cached for backward.
-  std::vector<Tensor> cached_columns_;
-  size_t cached_height_ = 0;
-  size_t cached_width_ = 0;
+  const Tensor* cached_input_ = nullptr;  // tape: the recorded input
 };
 
 }  // namespace apots::nn

@@ -17,9 +17,8 @@ class Dense : public Layer {
   Dense(size_t in_features, size_t out_features, apots::Rng* rng,
         Init init = Init::kXavierUniform);
 
-  Tensor Forward(const Tensor& input, bool training) override;
-  const Tensor* Forward(const Tensor& input, bool training,
-                        tensor::Workspace* ws) override;
+  const Tensor* Run(const Tensor& input, Pass pass,
+                    tensor::Workspace* ws) override;
   Tensor Backward(const Tensor& grad_output) override;
   void PrepareQuantized(tensor::QuantMode mode) override;
   std::vector<Parameter*> Parameters() override;
@@ -33,9 +32,9 @@ class Dense : public Layer {
   size_t out_features_;
   Parameter weight_;
   Parameter bias_;
-  Tensor cached_input_;
+  const Tensor* cached_input_ = nullptr;  // tape: the recorded input
   // Packed weight copies for reduced-precision inference; consulted only
-  // by the workspace inference Forward (see Layer::PrepareQuantized).
+  // by non-recording passes (see Layer::PrepareQuantized).
   tensor::QuantMode quant_mode_ = tensor::QuantMode::kOff;
   tensor::Int8Matrix int8_weight_;
   tensor::Fp16Matrix fp16_weight_;

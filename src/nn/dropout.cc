@@ -11,33 +11,33 @@ Dropout::Dropout(float rate, apots::Rng* rng) : rate_(rate), rng_(rng) {
   APOTS_CHECK(rng != nullptr);
 }
 
-Tensor Dropout::Forward(const Tensor& input, bool training) {
-  if (!training || rate_ == 0.0f) {
-    mask_valid_ = false;
-    return input;
+const Tensor* Dropout::Run(const Tensor& input, Pass pass,
+                           tensor::Workspace* ws) {
+  if (!pass.training || rate_ == 0.0f) {
+    // Identity: pass the input through without copying. Only a recording
+    // pass may touch the tape (concurrent inference forwards share this
+    // layer).
+    if (pass.record) mask_ = nullptr;
+    return &input;
   }
   const float keep = 1.0f - rate_;
-  mask_ = Tensor(input.shape());
-  float* pm = mask_.data();
-  for (size_t i = 0; i < mask_.size(); ++i) {
+  Tensor* mask = ws->Acquire(input.shape());
+  float* pm = mask->data();
+  for (size_t i = 0; i < mask->size(); ++i) {
     pm[i] = rng_->Bernoulli(keep) ? 1.0f / keep : 0.0f;
   }
-  mask_valid_ = true;
-  return apots::tensor::Mul(input, mask_);
-}
-
-const Tensor* Dropout::Forward(const Tensor& input, bool training,
-                               tensor::Workspace* ws) {
-  if (training) return Layer::Forward(input, training, ws);
-  // Inference dropout is the identity: pass the input through without
-  // copying or touching mask_valid_ (concurrent forwards share this layer).
-  return &input;
+  mask_ = mask;
+  Tensor* out = ws->Acquire(input.shape());
+  const float* px = input.data();
+  float* po = out->data();
+  for (size_t i = 0; i < out->size(); ++i) po[i] = px[i] * pm[i];
+  return out;
 }
 
 Tensor Dropout::Backward(const Tensor& grad_output) {
-  if (!mask_valid_) return grad_output;
-  APOTS_CHECK(grad_output.SameShape(mask_));
-  return apots::tensor::Mul(grad_output, mask_);
+  if (mask_ == nullptr) return grad_output;
+  APOTS_CHECK(grad_output.SameShape(*mask_));
+  return apots::tensor::Mul(grad_output, *mask_);
 }
 
 std::string Dropout::Name() const {

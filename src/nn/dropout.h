@@ -16,17 +16,16 @@ class Dropout : public Layer {
  public:
   Dropout(float rate, apots::Rng* rng);
 
-  Tensor Forward(const Tensor& input, bool training) override;
-  const Tensor* Forward(const Tensor& input, bool training,
-                        tensor::Workspace* ws) override;
+  const Tensor* Run(const Tensor& input, Pass pass,
+                    tensor::Workspace* ws) override;
   Tensor Backward(const Tensor& grad_output) override;
   std::string Name() const override;
 
  private:
   float rate_;
   apots::Rng* rng_;  // not owned
-  Tensor mask_;
-  bool mask_valid_ = false;
+  // Tape: the last training pass's mask; null after an identity pass.
+  const Tensor* mask_ = nullptr;
 };
 
 }  // namespace apots::nn

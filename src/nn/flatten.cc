@@ -1,24 +1,13 @@
 #include "nn/flatten.h"
 
-#include <algorithm>
-
 namespace apots::nn {
 
-Tensor Flatten::Forward(const Tensor& input, bool training) {
+const Tensor* Flatten::Run(const Tensor& input, Pass pass,
+                           tensor::Workspace* ws) {
   APOTS_CHECK_GE(input.rank(), 2u);
-  cached_shape_ = input.shape();
+  if (pass.record) cached_shape_ = input.shape();
   const size_t batch = input.dim(0);
-  return input.Reshape({batch, input.size() / batch});
-}
-
-const Tensor* Flatten::Forward(const Tensor& input, bool training,
-                               tensor::Workspace* ws) {
-  if (training) return Layer::Forward(input, training, ws);
-  APOTS_CHECK_GE(input.rank(), 2u);
-  const size_t batch = input.dim(0);
-  Tensor* out = ws->Acquire({batch, input.size() / batch});
-  std::copy(input.data(), input.data() + input.size(), out->data());
-  return out;
+  return ws->AcquireCopy(input, {batch, input.size() / batch});
 }
 
 Tensor Flatten::Backward(const Tensor& grad_output) {

@@ -13,9 +13,8 @@ class Flatten : public Layer {
  public:
   Flatten() = default;
 
-  Tensor Forward(const Tensor& input, bool training) override;
-  const Tensor* Forward(const Tensor& input, bool training,
-                        tensor::Workspace* ws) override;
+  const Tensor* Run(const Tensor& input, Pass pass,
+                    tensor::Workspace* ws) override;
   Tensor Backward(const Tensor& grad_output) override;
   std::string Name() const override { return "Flatten"; }
 

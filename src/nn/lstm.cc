@@ -28,111 +28,47 @@ Lstm::Lstm(size_t input_size, size_t hidden_size, bool return_sequences,
   }
 }
 
-Tensor Lstm::Forward(const Tensor& input, bool training) {
-  APOTS_CHECK_EQ(input.rank(), 3u);
-  APOTS_CHECK_EQ(input.dim(2), input_size_);
-  const size_t batch = input.dim(0);
-  const size_t time = input.dim(1);
-  cached_batch_ = batch;
-  cached_time_ = time;
-  steps_.clear();
-  steps_.reserve(time);
-
-  Tensor h = Tensor::Zeros({batch, hidden_size_});
-  Tensor c = Tensor::Zeros({batch, hidden_size_});
-  Tensor sequence_out;
-  if (return_sequences_) {
-    sequence_out = Tensor({batch, time, hidden_size_});
-  }
-
-  for (size_t t = 0; t < time; ++t) {
-    StepCache step;
-    step.h_prev = h;
-    step.c_prev = c;
-    // Slice x_t: [batch, input].
-    step.x = Tensor({batch, input_size_});
-    for (size_t n = 0; n < batch; ++n) {
-      const float* src = input.data() + (n * time + t) * input_size_;
-      std::copy(src, src + input_size_, step.x.data() + n * input_size_);
-    }
-
-    Tensor gates = ops::Matmul(step.x, weight_x_.value);
-    ops::AddInPlace(&gates, ops::Matmul(h, weight_h_.value));
-    ops::AddRowBias(&gates, bias_.value);
-
-    // Activate in place: [i | f | g | o].
-    const size_t H = hidden_size_;
-    Tensor new_c({batch, H});
-    Tensor new_h({batch, H});
-    Tensor tanh_c({batch, H});
-    for (size_t n = 0; n < batch; ++n) {
-      float* g_row = gates.data() + n * 4 * H;
-      const float* cp = step.c_prev.data() + n * H;
-      float* nc = new_c.data() + n * H;
-      float* nh = new_h.data() + n * H;
-      float* tc = tanh_c.data() + n * H;
-      for (size_t j = 0; j < H; ++j) {
-        const float i_gate = SigmoidScalar(g_row[j]);
-        const float f_gate = SigmoidScalar(g_row[H + j]);
-        const float g_cand = TanhScalar(g_row[2 * H + j]);
-        const float o_gate = SigmoidScalar(g_row[3 * H + j]);
-        g_row[j] = i_gate;
-        g_row[H + j] = f_gate;
-        g_row[2 * H + j] = g_cand;
-        g_row[3 * H + j] = o_gate;
-        nc[j] = f_gate * cp[j] + i_gate * g_cand;
-        tc[j] = TanhScalar(nc[j]);
-        nh[j] = o_gate * tc[j];
-      }
-    }
-    step.gates = std::move(gates);
-    step.c = new_c;
-    step.tanh_c = std::move(tanh_c);
-    c = std::move(new_c);
-    h = std::move(new_h);
-
-    if (return_sequences_) {
-      for (size_t n = 0; n < batch; ++n) {
-        std::copy(h.data() + n * hidden_size_,
-                  h.data() + (n + 1) * hidden_size_,
-                  sequence_out.data() + (n * time + t) * hidden_size_);
-      }
-    }
-    steps_.push_back(std::move(step));
-  }
-  return return_sequences_ ? sequence_out : h;
-}
-
-const Tensor* Lstm::Forward(const Tensor& input, bool training,
-                            tensor::Workspace* ws) {
-  if (training) return Layer::Forward(input, training, ws);
+const Tensor* Lstm::Run(const Tensor& input, Pass pass,
+                        tensor::Workspace* ws) {
   APOTS_CHECK_EQ(input.rank(), 3u);
   APOTS_CHECK_EQ(input.dim(2), input_size_);
   const size_t batch = input.dim(0);
   const size_t time = input.dim(1);
   const size_t H = hidden_size_;
+  if (pass.record) {
+    cached_batch_ = batch;
+    cached_time_ = time;
+    steps_.resize(time);
+  }
 
-  // All state lives in the arena: no StepCache (backward-only) and no
-  // member writes, so concurrent inference forwards are safe. The scalar
-  // recurrence below performs exactly the operations of the allocating
-  // Forward in the same order, so results are bitwise identical.
+  // An inference pass updates h/c in place and reuses one set of step
+  // buffers; a recording pass takes fresh arena slots every step, so the
+  // buffers double as the BPTT tape.
   Tensor* h = ws->Acquire({batch, H});
   Tensor* c = ws->Acquire({batch, H});
   h->Fill(0.0f);
   c->Fill(0.0f);
-  Tensor* x_t = ws->Acquire({batch, input_size_});
-  Tensor* gates = ws->Acquire({batch, 4 * H});
   Tensor* gates_h = ws->Acquire({batch, 4 * H});
   Tensor* sequence_out =
       return_sequences_ ? ws->Acquire({batch, time, H}) : nullptr;
+  Tensor* x_t = nullptr;
+  Tensor* gates = nullptr;
+  Tensor* tanh_c = nullptr;
 
   for (size_t t = 0; t < time; ++t) {
+    if (pass.record || t == 0) {
+      x_t = ws->Acquire({batch, input_size_});
+      gates = ws->Acquire({batch, 4 * H});
+      tanh_c = ws->Acquire({batch, H});
+    }
+    Tensor* h_next = pass.record ? ws->Acquire({batch, H}) : h;
+    Tensor* c_next = pass.record ? ws->Acquire({batch, H}) : c;
     // Slice x_t: [batch, input].
     for (size_t n = 0; n < batch; ++n) {
       const float* src = input.data() + (n * time + t) * input_size_;
       std::copy(src, src + input_size_, x_t->data() + n * input_size_);
     }
-    switch (quant_mode_) {
+    switch (pass.record ? tensor::QuantMode::kOff : quant_mode_) {
       case tensor::QuantMode::kInt8:
         ops::Int8MatmulInto(*x_t, int8_wx_, gates, ws);
         ops::Int8MatmulInto(*h, int8_wh_, gates_h, ws);
@@ -149,21 +85,31 @@ const Tensor* Lstm::Forward(const Tensor& input, bool training,
     ops::AddInPlace(gates, *gates_h);
     ops::AddRowBias(gates, bias_.value);
 
-    // Activate and update h/c in place: [i | f | g | o].
+    // Activate in place: [i | f | g | o].
     for (size_t n = 0; n < batch; ++n) {
       float* g_row = gates->data() + n * 4 * H;
-      float* c_row = c->data() + n * H;
-      float* h_row = h->data() + n * H;
+      const float* cp = c->data() + n * H;
+      float* nc = c_next->data() + n * H;
+      float* nh = h_next->data() + n * H;
+      float* tc = tanh_c->data() + n * H;
       for (size_t j = 0; j < H; ++j) {
         const float i_gate = SigmoidScalar(g_row[j]);
         const float f_gate = SigmoidScalar(g_row[H + j]);
         const float g_cand = TanhScalar(g_row[2 * H + j]);
         const float o_gate = SigmoidScalar(g_row[3 * H + j]);
-        const float new_c = f_gate * c_row[j] + i_gate * g_cand;
-        c_row[j] = new_c;
-        h_row[j] = o_gate * TanhScalar(new_c);
+        g_row[j] = i_gate;
+        g_row[H + j] = f_gate;
+        g_row[2 * H + j] = g_cand;
+        g_row[3 * H + j] = o_gate;
+        nc[j] = f_gate * cp[j] + i_gate * g_cand;
+        tc[j] = TanhScalar(nc[j]);
+        nh[j] = o_gate * tc[j];
       }
     }
+    if (pass.record) steps_[t] = {x_t, h, c, gates, tanh_c};
+    h = h_next;
+    c = c_next;
+
     if (return_sequences_) {
       for (size_t n = 0; n < batch; ++n) {
         std::copy(h->data() + n * H, h->data() + (n + 1) * H,
@@ -222,9 +168,9 @@ Tensor Lstm::Backward(const Tensor& grad_output) {
     Tensor dgates({batch, 4 * H});
     Tensor dc_prev({batch, H});
     for (size_t n = 0; n < batch; ++n) {
-      const float* g_row = step.gates.data() + n * 4 * H;
-      const float* tc = step.tanh_c.data() + n * H;
-      const float* cp = step.c_prev.data() + n * H;
+      const float* g_row = step.gates->data() + n * 4 * H;
+      const float* tc = step.tanh_c->data() + n * H;
+      const float* cp = step.c_prev->data() + n * H;
       const float* dh_row = dh.data() + n * H;
       const float* dcn = dc_next.data() + n * H;
       float* dg = dgates.data() + n * 4 * H;
@@ -250,9 +196,9 @@ Tensor Lstm::Backward(const Tensor& grad_output) {
     }
 
     // Parameter gradients.
-    ops::AddInPlace(&weight_x_.grad, ops::MatmulTransposeA(step.x, dgates));
+    ops::AddInPlace(&weight_x_.grad, ops::MatmulTransposeA(*step.x, dgates));
     ops::AddInPlace(&weight_h_.grad,
-                    ops::MatmulTransposeA(step.h_prev, dgates));
+                    ops::MatmulTransposeA(*step.h_prev, dgates));
     ops::AddInPlace(&bias_.grad, ops::SumRows(dgates));
 
     // Input and recurrent gradients.

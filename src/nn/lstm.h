@@ -23,9 +23,8 @@ class Lstm : public Layer {
   Lstm(size_t input_size, size_t hidden_size, bool return_sequences,
        apots::Rng* rng);
 
-  Tensor Forward(const Tensor& input, bool training) override;
-  const Tensor* Forward(const Tensor& input, bool training,
-                        tensor::Workspace* ws) override;
+  const Tensor* Run(const Tensor& input, Pass pass,
+                    tensor::Workspace* ws) override;
   Tensor Backward(const Tensor& grad_output) override;
   void PrepareQuantized(tensor::QuantMode mode) override;
   std::vector<Parameter*> Parameters() override;
@@ -42,19 +41,18 @@ class Lstm : public Layer {
   Parameter weight_h_;  ///< [hidden, 4*hidden]
   Parameter bias_;      ///< [4*hidden]
   // Packed gate-matmul weights for reduced-precision inference; consulted
-  // only by the workspace inference Forward (see Layer::PrepareQuantized).
+  // only by non-recording passes (see Layer::PrepareQuantized).
   tensor::QuantMode quant_mode_ = tensor::QuantMode::kOff;
   tensor::Int8Matrix int8_wx_, int8_wh_;
   tensor::Fp16Matrix fp16_wx_, fp16_wh_;
 
-  // Per-timestep caches for BPTT.
+  // Per-timestep tape for BPTT (arena slots of the recording pass).
   struct StepCache {
-    Tensor x;        ///< [batch, input]
-    Tensor h_prev;   ///< [batch, hidden]
-    Tensor c_prev;   ///< [batch, hidden]
-    Tensor gates;    ///< [batch, 4*hidden], post-activation (i,f,g,o)
-    Tensor c;        ///< [batch, hidden]
-    Tensor tanh_c;   ///< [batch, hidden]
+    const Tensor* x;       ///< [batch, input]
+    const Tensor* h_prev;  ///< [batch, hidden]
+    const Tensor* c_prev;  ///< [batch, hidden]
+    const Tensor* gates;   ///< [batch, 4*hidden], post-activation (i,f,g,o)
+    const Tensor* tanh_c;  ///< [batch, hidden]
   };
   std::vector<StepCache> steps_;
   size_t cached_batch_ = 0;

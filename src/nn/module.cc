@@ -4,9 +4,12 @@
 
 namespace apots::nn {
 
-const Tensor* Layer::Forward(const Tensor& input, bool training,
-                             tensor::Workspace* ws) {
-  return ws->Materialize(Forward(input, training));
+Tensor Layer::Forward(const Tensor& input, bool training) {
+  arena_.Reset();
+  // The tape may point at the input, so the pass runs on a copy that lives
+  // as long as the tape does.
+  const Tensor* kept = arena_.AcquireCopy(input);
+  return *Run(*kept, Pass{training, /*record=*/true}, &arena_);
 }
 
 void ZeroAllGrads(const std::vector<Parameter*>& params) {

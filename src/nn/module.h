@@ -29,10 +29,19 @@ struct Parameter {
   void ZeroGrad() { grad.Fill(0.0f); }
 };
 
-/// Base class for differentiable layers. Layers are stateful across a
-/// Forward/Backward pair: Forward caches whatever Backward needs, Backward
-/// consumes the cache, accumulates parameter gradients, and returns the
-/// gradient with respect to the layer input.
+/// How a forward body runs. `training` toggles train-only behaviour (e.g.
+/// dropout); `record` makes the body keep the backward tape — whatever
+/// Backward reads — in arena slots of the pass's workspace. Training
+/// implies recording.
+struct Pass {
+  bool training = false;
+  bool record = false;
+};
+
+/// Base class for differentiable layers. Every layer has exactly one
+/// forward body, Run, behind two call forms; Backward consumes the tape the
+/// last recording pass left, accumulates parameter gradients, and returns
+/// the gradient with respect to the layer input.
 ///
 /// Batch conventions: Dense-style layers take [batch, features]; Conv2d
 /// takes [batch, channels, height, width]; Lstm takes
@@ -44,20 +53,34 @@ class Layer {
   Layer(const Layer&) = delete;
   Layer& operator=(const Layer&) = delete;
 
-  /// Computes the layer output. `training` toggles train-only behaviour
-  /// (e.g. dropout).
-  virtual Tensor Forward(const Tensor& input, bool training) = 0;
+  /// Training form: runs the body on the layer's own arena with the tape
+  /// recorded (for either value of `training`, so a gradient check may
+  /// call Forward(x, false) and then Backward) and returns an owned copy
+  /// of the output. The next call of this form reuses the arena, which
+  /// replaces the tape.
+  Tensor Forward(const Tensor& input, bool training);
 
-  /// Workspace variant: borrows the output (and any scratch) from `ws`
-  /// instead of allocating, and — when `training` is false — must not
-  /// mutate layer state, so concurrent inference forwards on a shared
-  /// layer are safe. Bitwise identical to the allocating Forward. The
-  /// returned pointer lives until `ws->Reset()`; it may alias `&input`
-  /// for identity layers. The default implementation materializes the
-  /// allocating Forward into the arena; layers on the inference hot path
-  /// override it with a zero-allocation body.
-  virtual const Tensor* Forward(const Tensor& input, bool training,
-                                tensor::Workspace* ws);
+  /// Workspace form: borrows the output and all scratch from `ws`; the
+  /// returned pointer lives until `ws->Reset()` and may alias `&input` for
+  /// identity layers. With `training` false it writes no layer member, so
+  /// concurrent inference forwards on a shared layer are safe, and it is
+  /// the only call that reads PrepareQuantized weights. With `training`
+  /// true it records the tape into `ws`; `ws` and `input` must then stay
+  /// untouched until the matching Backward.
+  const Tensor* Forward(const Tensor& input, bool training,
+                        tensor::Workspace* ws) {
+    return Run(input, Pass{training, training}, ws);
+  }
+
+  /// The forward body both forms run. It borrows every tensor it writes
+  /// from `ws` (contents dirty, so it fully overwrites them), writes layer
+  /// members only when `pass.record` is set, and uses packed
+  /// reduced-precision weights only when it is not. A recording pass may
+  /// keep pointers to `input` and to its own slots: inside a Sequential
+  /// each layer's input is the previous layer's output slot, which lives
+  /// as long as the tape.
+  virtual const Tensor* Run(const Tensor& input, Pass pass,
+                            tensor::Workspace* ws) = 0;
 
   /// Backpropagates `grad_output` (gradient of the loss w.r.t. this layer's
   /// output), accumulating into parameter grads, and returns the gradient
@@ -65,12 +88,12 @@ class Layer {
   virtual Tensor Backward(const Tensor& grad_output) = 0;
 
   /// Packs this layer's frozen weights for reduced-precision inference
-  /// (tensor::QuantMode). Only the workspace inference Forward consults the
-  /// packed weights; training and the allocating Forward always run fp32,
-  /// so gradients are unaffected. The packed copy snapshots the weights at
-  /// call time — call again after any weight mutation, or with kOff to
-  /// drop the packed copy and return to exact fp32 inference. Default:
-  /// no-op (layers without matmul weights have nothing to quantize).
+  /// (tensor::QuantMode). Only a non-recording pass consults the packed
+  /// weights; recording passes always run fp32, so gradients are
+  /// unaffected. The packed copy snapshots the weights at call time — call
+  /// again after any weight mutation, or with kOff to drop the packed copy
+  /// and return to exact fp32 inference. Default: no-op (layers without
+  /// matmul weights have nothing to quantize).
   virtual void PrepareQuantized(tensor::QuantMode mode) { (void)mode; }
 
   /// Trainable parameters (empty for stateless layers). Pointers remain
@@ -82,6 +105,9 @@ class Layer {
 
  protected:
   Layer() = default;
+
+ private:
+  tensor::Workspace arena_;  ///< backs the training form's passes
 };
 
 /// Zeroes the gradients of all `params`.

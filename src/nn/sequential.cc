@@ -7,20 +7,10 @@ Layer* Sequential::Add(std::unique_ptr<Layer> layer) {
   return layers_.back().get();
 }
 
-Tensor Sequential::Forward(const Tensor& input, bool training) {
-  Tensor current = input;
-  for (auto& layer : layers_) {
-    current = layer->Forward(current, training);
-  }
-  return current;
-}
-
-const Tensor* Sequential::Forward(const Tensor& input, bool training,
-                                  tensor::Workspace* ws) {
+const Tensor* Sequential::Run(const Tensor& input, Pass pass,
+                              tensor::Workspace* ws) {
   const Tensor* current = &input;
-  for (auto& layer : layers_) {
-    current = layer->Forward(*current, training, ws);
-  }
+  for (auto& layer : layers_) current = layer->Run(*current, pass, ws);
   return current;
 }
 

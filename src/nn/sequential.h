@@ -27,9 +27,8 @@ class Sequential : public Layer {
     return raw;
   }
 
-  Tensor Forward(const Tensor& input, bool training) override;
-  const Tensor* Forward(const Tensor& input, bool training,
-                        tensor::Workspace* ws) override;
+  const Tensor* Run(const Tensor& input, Pass pass,
+                    tensor::Workspace* ws) override;
   Tensor Backward(const Tensor& grad_output) override;
   void PrepareQuantized(tensor::QuantMode mode) override;
   std::vector<Parameter*> Parameters() override;

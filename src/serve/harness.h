@@ -35,8 +35,8 @@ struct HarnessConfig {
   int beta = 3;
   FeedFaultSpec feed = FeedFaultSpec::Clean();
   ServeConfig serve;
-  /// Inference-path knobs (batching, workspace, quantization) passed
-  /// through to the model stack verbatim.
+  /// Inference-path knobs (batching, parallelism, feature cache,
+  /// quantization) passed through to the model stack verbatim.
   apots::core::InferenceConfig inference;
   /// Trailing anchors served per tick (tick, tick-1, ...).
   int anchors_per_tick = 4;

@@ -19,10 +19,11 @@ Tensor* Workspace::Acquire(std::vector<size_t> shape) {
   return slot;
 }
 
-Tensor* Workspace::Materialize(Tensor&& t) {
-  Tensor* slot = NextSlot();
-  *slot = std::move(t);
-  high_water_floats_ = std::max(high_water_floats_, capacity_floats());
+Tensor* Workspace::AcquireCopy(const Tensor& src,
+                               std::vector<size_t> shape) {
+  APOTS_CHECK_EQ(NumElements(shape), src.size());
+  Tensor* slot = Acquire(std::move(shape));
+  std::copy(src.data(), src.data() + src.size(), slot->data());
   return slot;
 }
 

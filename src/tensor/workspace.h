@@ -10,12 +10,13 @@
 
 namespace apots::tensor {
 
-/// Bump arena of reusable tensor buffers for allocation-free inference.
+/// Bump arena of reusable tensor buffers for allocation-free forwards.
 ///
-/// Layers borrow activation/scratch tensors with Acquire instead of
-/// constructing fresh ones; Reset returns the cursor to the start without
-/// releasing storage, so a steady-state forward pass (same shapes every
-/// call) touches the heap zero times after its first warm-up iteration.
+/// Layers borrow activation/scratch tensors (and, when recording, their
+/// backward tape) with Acquire instead of constructing fresh ones; Reset
+/// returns the cursor to the start without releasing storage, so a
+/// steady-state forward pass (same shapes every call) touches the heap
+/// zero times after its first warm-up iteration.
 ///
 /// Contract:
 ///  - Acquire hands out slots in a fixed bump order; two tensors borrowed
@@ -40,10 +41,13 @@ class Workspace {
   /// stays valid until the next Reset.
   Tensor* Acquire(std::vector<size_t> shape);
 
-  /// Moves an existing tensor into the next arena slot (the fallback used
-  /// by layers without a native workspace path). Same lifetime rules as
+  /// Borrows a tensor of `shape` holding a copy of `src`'s elements
+  /// (`shape` must have `src.size()` elements). Same lifetime rules as
   /// Acquire.
-  Tensor* Materialize(Tensor&& t);
+  Tensor* AcquireCopy(const Tensor& src, std::vector<size_t> shape);
+  Tensor* AcquireCopy(const Tensor& src) {
+    return AcquireCopy(src, src.shape());
+  }
 
   /// Borrows a raw 64-byte-aligned scratch buffer of at least `bytes`
   /// (quantized-inference activation codes and similar non-float

@@ -334,7 +334,10 @@ TEST_P(KillRestoreTest, RestoreIsBitwiseAcrossPredictorFamilies) {
   // Simulated kill-and-restore: save a model, build a replacement with a
   // different init seed (so recovery provably overwrites every weight),
   // recover, and require bitwise-identical parameters plus the aux blob.
-  const std::string dir = TempDir("apots_ckpt_kill");
+  // One directory per family: ctest runs the instances concurrently.
+  const std::string dir = TempDir(
+      ("apots_ckpt_kill_" + std::to_string(static_cast<int>(GetParam())))
+          .c_str());
   apots::traffic::DatasetSpec spec;
   spec.num_roads = 3;
   spec.num_days = 2;

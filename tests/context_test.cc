@@ -449,7 +449,6 @@ TEST_F(ContextRuntimeTest, DeterministicAcrossInferenceConfigs) {
 
   config = apots::core::InferenceConfig();
   config.parallel = false;
-  config.use_workspace = false;
   model_->SetInferenceConfig(config);
   EXPECT_EQ(model_->PredictKmhItems(items), reference);
 

@@ -51,7 +51,6 @@ InferenceConfig PerAnchorArm() {
   InferenceConfig cfg;
   cfg.batch_size = 1;
   cfg.parallel = false;
-  cfg.use_workspace = false;
   cfg.use_feature_cache = false;
   return cfg;
 }
@@ -143,7 +142,6 @@ TEST(InferenceRuntimeTest, BatchedMatchesPerAnchorBitwiseAllPredictors) {
       InferenceConfig cfg;
       cfg.batch_size = arm.batch_size;
       cfg.parallel = arm.parallel;
-      cfg.use_workspace = true;
       cfg.use_feature_cache = arm.cache;
       model.SetInferenceConfig(cfg);
       ExpectIdentical(model.PredictKmh(env.test), baseline, arm.name);
@@ -294,14 +292,6 @@ TEST(InferenceConfigGuardTest, ValidateRejectsDegenerateConfigs) {
   EXPECT_EQ(ValidateInferenceConfig(zero_cache).code(),
             StatusCode::kInvalidArgument);
 
-  InferenceConfig quant_no_ws;
-  quant_no_ws.quantize = tensor::QuantMode::kInt8;
-  quant_no_ws.use_workspace = false;
-  EXPECT_EQ(ValidateInferenceConfig(quant_no_ws).code(),
-            StatusCode::kInvalidArgument);
-  quant_no_ws.use_workspace = true;
-  EXPECT_TRUE(ValidateInferenceConfig(quant_no_ws).ok());
-
   // Capacity 0 is fine when the cache is off, and defaults are valid.
   zero_cache.use_feature_cache = false;
   EXPECT_TRUE(ValidateInferenceConfig(zero_cache).ok());
@@ -317,13 +307,6 @@ TEST(InferenceConfigGuardTest, SanitizeClampsInsteadOfCrashing) {
   EXPECT_EQ(fixed.batch_size, 1u);
   EXPECT_FALSE(fixed.use_feature_cache);
   EXPECT_TRUE(ValidateInferenceConfig(fixed).ok());
-
-  InferenceConfig quant_no_ws;
-  quant_no_ws.quantize = tensor::QuantMode::kFp16;
-  quant_no_ws.use_workspace = false;
-  const InferenceConfig fixed_quant = SanitizeInferenceConfig(quant_no_ws);
-  EXPECT_EQ(fixed_quant.quantize, tensor::QuantMode::kOff);
-  EXPECT_TRUE(ValidateInferenceConfig(fixed_quant).ok());
 }
 
 TEST(InferenceConfigGuardTest, DegenerateConfigStillPredictsIdentically) {

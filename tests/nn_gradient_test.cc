@@ -31,6 +31,14 @@ Tensor Random(std::vector<size_t> shape, uint64_t seed) {
   return t;
 }
 
+// `scale * input` in an arena slot (the forward of the self-test layers).
+const Tensor* ScaleInto(const Tensor& input, float scale,
+                        tensor::Workspace* ws) {
+  Tensor* out = ws->AcquireCopy(input);
+  for (size_t i = 0; i < out->size(); ++i) (*out)[i] *= scale;
+  return out;
+}
+
 // Checks a layer at the given input shape; forward must define the output
 // shape, so we run one forward to size the loss weights.
 void CheckLayer(Layer* layer, const Tensor& input, double tolerance = 2e-2,
@@ -157,6 +165,46 @@ TEST(GradientTest, StackedLstm) {
   net.Emplace<Lstm>(4, 3, /*return_sequences=*/false, &rng);
   net.Emplace<Dense>(3, 1, &rng);
   CheckLayer(&net, Random({2, 6, 3}, 19), 5e-2);
+}
+
+TEST(GradientCheckerSelfTest, FlagsAWrongGradient) {
+  // A layer lying about its gradient must be caught by the checker.
+  class LyingLayer : public Layer {
+   public:
+    const Tensor* Run(const Tensor& input, Pass,
+                      tensor::Workspace* ws) override {
+      return ScaleInto(input, 2.0f, ws);
+    }
+    Tensor Backward(const Tensor& grad) override {
+      // True gradient is 2 * grad; report 3 * grad.
+      return apots::tensor::Scale(grad, 3.0f);
+    }
+    std::string Name() const override { return "LyingLayer"; }
+  };
+  LyingLayer layer;
+  const Tensor input = Random({2, 3}, 11);
+  const Tensor weights = Random({2, 3}, 12);
+  const auto result = CheckLayerGradients(&layer, input, weights, 1e-2);
+  EXPECT_GT(result.max_rel_error, 0.2);
+}
+
+TEST(GradientCheckerSelfTest, AcceptsACorrectGradient) {
+  class HonestLayer : public Layer {
+   public:
+    const Tensor* Run(const Tensor& input, Pass,
+                      tensor::Workspace* ws) override {
+      return ScaleInto(input, 2.0f, ws);
+    }
+    Tensor Backward(const Tensor& grad) override {
+      return apots::tensor::Scale(grad, 2.0f);
+    }
+    std::string Name() const override { return "HonestLayer"; }
+  };
+  HonestLayer layer;
+  const Tensor input = Random({2, 3}, 13);
+  const Tensor weights = Random({2, 3}, 14);
+  const auto result = CheckLayerGradients(&layer, input, weights, 1e-2);
+  EXPECT_LT(result.max_rel_error, 1e-3);
 }
 
 }  // namespace

@@ -1,17 +1,20 @@
-// Tests for the tensor::Workspace bump arena (S3): slot reuse across
-// Reset, alignment of borrowed storage, grow-only buffers, non-aliasing of
-// tensors borrowed within one generation, and the workspace forward path
-// being bitwise identical to the allocating forward.
+// Tests for the tensor::Workspace bump arena: slot reuse across Reset,
+// alignment of borrowed storage, grow-only buffers, non-aliasing of
+// tensors borrowed within one generation, and forward passes (training and
+// inference) staying bitwise stable on dirty arena slots.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <functional>
+#include <string>
 #include <vector>
 
-#include "nn/activations.h"
-#include "nn/dense.h"
-#include "nn/sequential.h"
+#include "core/discriminator.h"
+#include "core/predictor.h"
 #include "tensor/tensor.h"
+#include "tensor/tensor_ops.h"
 #include "tensor/workspace.h"
 #include "util/rng.h"
 
@@ -96,42 +99,124 @@ TEST(WorkspaceTest, TensorsWithinOneGenerationNeverAlias) {
   }
 }
 
-TEST(WorkspaceTest, MaterializeKeepsValuesAndCountsAsSlot) {
+TEST(WorkspaceTest, AcquireCopyKeepsValuesInTheNewShape) {
   Workspace ws;
-  Tensor t = Tensor::Full({3, 2}, 1.5f);
-  Tensor* slot = ws.Materialize(std::move(t));
-  ASSERT_EQ(slot->size(), 6u);
-  for (size_t i = 0; i < slot->size(); ++i) EXPECT_EQ((*slot)[i], 1.5f);
+  (void)ws.Acquire({6});
+  ws.Reset();  // the copy lands in a dirty, recycled slot
+  const Tensor src = Tensor::FromMatrix(2, 3, {1, 2, 3, 4, 5, 6});
+  Tensor* copy = ws.AcquireCopy(src, {3, 2});
+  EXPECT_EQ(copy->shape(), (std::vector<size_t>{3, 2}));
+  for (size_t i = 0; i < src.size(); ++i) EXPECT_EQ((*copy)[i], src[i]);
   EXPECT_EQ(ws.slots_in_use(), 1u);
 }
 
-TEST(WorkspaceTest, WorkspaceForwardMatchesAllocatingForwardBitwise) {
-  // A small Dense stack, random weights, random input: the 3-arg Forward
-  // on a workspace must reproduce the 2-arg allocating Forward bit for bit
-  // — and stay bitwise stable when the arena slots are dirty from a
-  // previous generation.
-  Rng rng(7);
-  apots::nn::Sequential net;
-  net.Add(std::make_unique<apots::nn::Dense>(10, 7, &rng));
-  net.Add(std::make_unique<apots::nn::Relu>());
-  net.Add(std::make_unique<apots::nn::Dense>(7, 4, &rng));
-  Tensor input({5, 10});
-  for (size_t i = 0; i < input.size(); ++i) {
-    input[i] = static_cast<float>(rng.Uniform(-1.0, 1.0));
-  }
-  const Tensor expected = net.Forward(input, /*training=*/false);
+// What one recording forward + Backward leaves behind: the output, the
+// input gradient and every parameter gradient.
+struct TapeRun {
+  Tensor output;
+  Tensor input_grad;
+  std::vector<Tensor> param_grads;
+};
 
-  Workspace ws;
-  for (int gen = 0; gen < 3; ++gen) {
-    ws.Reset();
-    const Tensor* got = net.Forward(input, /*training=*/false, &ws);
-    ASSERT_NE(got, nullptr);
-    ASSERT_EQ(got->shape(), expected.shape());
-    for (size_t i = 0; i < expected.size(); ++i) {
-      ASSERT_EQ((*got)[i], expected[i]) << "element " << i << " generation "
-                                        << gen;
+Tensor Random(std::vector<size_t> shape, uint64_t seed) {
+  Tensor t(std::move(shape));
+  Rng rng(seed);
+  FillUniform(&t, &rng, -1.0f, 1.0f);
+  return t;
+}
+
+TapeRun Record(const std::function<Tensor(const Tensor&)>& forward,
+               const std::function<Tensor(const Tensor&)>& backward,
+               const std::vector<nn::Parameter*>& params,
+               const Tensor& input) {
+  nn::ZeroAllGrads(params);
+  TapeRun run;
+  run.output = forward(input);
+  run.input_grad = backward(Random(run.output.shape(), 77));
+  for (const nn::Parameter* p : params) run.param_grads.push_back(p->grad);
+  return run;
+}
+
+void ExpectSameBits(const Tensor& got, const Tensor& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)),
+            0)
+      << what;
+}
+
+void ExpectSameRun(const TapeRun& got, const TapeRun& want,
+                   const std::string& what) {
+  ExpectSameBits(got.output, want.output, what + " output");
+  ExpectSameBits(got.input_grad, want.input_grad, what + " input grad");
+  ASSERT_EQ(got.param_grads.size(), want.param_grads.size()) << what;
+  for (size_t i = 0; i < want.param_grads.size(); ++i) {
+    ExpectSameBits(got.param_grads[i], want.param_grads[i],
+                   what + " grad of parameter " + std::to_string(i));
+  }
+}
+
+// Training forwards run on arenas whose slots are dirty from earlier
+// passes. A recording forward + Backward must give the same bits on a
+// fresh object as after a pass at another batch size has dirtied every
+// slot, through both call forms; and the inference form must reproduce
+// the recorded output over several dirty generations.
+TEST(WorkspaceTest, RecordedTapeIsBitwiseOnDirtyArena) {
+  using core::PredictorType;
+  const size_t rows = 5;
+  const size_t alpha = 6;
+  for (PredictorType type : {PredictorType::kFc, PredictorType::kLstm,
+                             PredictorType::kCnn, PredictorType::kHybrid}) {
+    const std::string label = core::PredictorTypeLabel(type);
+    Rng rng(7);
+    auto predictor = core::MakePredictor(
+        core::PredictorHparams::Scaled(type, 32), rows, alpha, &rng);
+    const std::vector<nn::Parameter*> params = predictor->Parameters();
+    const Tensor input = Random({4, rows, alpha}, 1);
+    const Tensor other = Random({9, rows, alpha}, 2);
+    const auto backward = [&](const Tensor& g) {
+      return predictor->Backward(g);
+    };
+
+    const auto own_arena = [&](const Tensor& x) {
+      return predictor->Forward(x, /*training=*/true);
+    };
+    const TapeRun fresh = Record(own_arena, backward, params, input);
+    Record(own_arena, backward, params, other);
+    ExpectSameRun(Record(own_arena, backward, params, input), fresh,
+                  label + " training form");
+
+    Workspace ws;
+    const auto caller_arena = [&](const Tensor& x) {
+      ws.Reset();
+      return Tensor(*predictor->Forward(x, /*training=*/true, &ws));
+    };
+    Record(caller_arena, backward, params, other);
+    ExpectSameRun(Record(caller_arena, backward, params, input), fresh,
+                  label + " workspace form");
+
+    for (int gen = 0; gen < 3; ++gen) {
+      ws.Reset();
+      (void)predictor->Forward(other, /*training=*/false, &ws);
+      ws.Reset();
+      const Tensor* got = predictor->Forward(input, /*training=*/false, &ws);
+      ExpectSameBits(*got, fresh.output,
+                     label + " inference, generation " + std::to_string(gen));
     }
   }
+
+  Rng rng(9);
+  core::Discriminator disc(core::DiscriminatorHparams::Scaled(32), alpha,
+                           /*context_width=*/3, &rng);
+  const auto forward = [&](const Tensor& x) {
+    return disc.Forward(x, Random({x.dim(0), 3}, x.dim(0)), true);
+  };
+  const auto backward = [&](const Tensor& g) { return disc.Backward(g); };
+  const Tensor input = Random({4, alpha}, 3);
+  const TapeRun fresh = Record(forward, backward, disc.Parameters(), input);
+  Record(forward, backward, disc.Parameters(), Random({9, alpha}, 4));
+  ExpectSameRun(Record(forward, backward, disc.Parameters(), input), fresh,
+                "Discriminator");
 }
 
 }  // namespace
